@@ -292,7 +292,7 @@ def run_overload_bench(
     import urllib.error
     import urllib.request
 
-    from repro.serving.http import build_server
+    from repro.serving.async_http import build_async_server
 
     model = framework.model_
     n_features = model.weights_.shape[0]
@@ -305,10 +305,9 @@ def run_overload_bench(
     service.register("m", model)
     fuser = BatchFuser(service, max_batch_rows=n_clients * rows_per_request,
                        max_wait_ms=2.0, use_cache=False)
-    server = build_server(service, fuser=fuser, port=0,
-                          max_in_flight=max_in_flight, retry_after=0.05)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = build_async_server(service, fuser=fuser, port=0,
+                                max_in_flight=max_in_flight, retry_after=0.05)
+    server.start()
     url = f"http://127.0.0.1:{server.server_address[1]}/encode"
 
     def post_once() -> int:
@@ -334,7 +333,7 @@ def run_overload_bench(
 
         # --- pure-shed latency: every slot occupied ------------------------
         for _ in range(max_in_flight):
-            assert server.try_admit()
+            assert server.gateway.try_admit()
         start = time.perf_counter()
         for _ in range(shed_probe_requests):
             status = post_once()
@@ -343,7 +342,7 @@ def run_overload_bench(
             (time.perf_counter() - start) / shed_probe_requests * 1e3
         )
         for _ in range(max_in_flight):
-            server.release_request()
+            server.gateway.release_request()
 
         # --- flood: more clients than slots --------------------------------
         statuses: list[list[int]] = [[] for _ in range(n_clients)]
@@ -356,12 +355,10 @@ def run_overload_bench(
         flat = [status for per_client in statuses for status in per_client]
         n_accepted = sum(1 for status in flat if status == 200)
         n_shed = sum(1 for status in flat if status == 503)
-        admission = server.admission.as_dict()
+        admission = server.gateway.admission.as_dict()
     finally:
-        fuser.close()
         server.shutdown()
         server.server_close()
-        thread.join(timeout=5)
 
     return {
         "max_in_flight": max_in_flight,

@@ -30,7 +30,7 @@ from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets import load_uci_dataset
 from repro.persistence import save_framework
 from repro.serving import BatchFuser, EncodingService
-from repro.serving.http import build_server
+from repro.serving.async_http import build_async_server
 
 
 def post_json(url: str, payload: dict) -> dict:
@@ -73,9 +73,8 @@ def main() -> None:
         service = EncodingService()
         service.load("ir", bundle)
         fuser = BatchFuser(service, max_batch_rows=256, max_wait_ms=5.0)
-        server = build_server(service, fuser=fuser, port=0)
-        server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-        server_thread.start()
+        server = build_async_server(service, fuser=fuser, port=0)
+        server.start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         print(f"serving on {base}")
         print("healthz:", get_json(base + "/healthz"))
@@ -124,7 +123,6 @@ def main() -> None:
 
         server.shutdown()
         server.server_close()
-        server_thread.join(timeout=5)
     print("done")
 
 

@@ -418,31 +418,21 @@ def _build_serving_stack(args: argparse.Namespace):
     """
     from repro.serving import BatchFuser, EncodingService
     from repro.serving.async_http import build_async_server
-    from repro.serving.http import ServingGateway, build_server
+    from repro.serving.http import LocalEncodeBackend, ServingGateway
     from repro.serving.shard import ShardPool
 
-    use_async = getattr(args, "use_async", False)
     shard_workers = getattr(args, "shard_workers", None)
     mappings = _parse_artifact_mappings(args.artifact)
 
-    service = fuser = gateway = None
+    service = fuser = None
     if shard_workers:
-        pool = ShardPool(
+        backend = ShardPool(
             mappings,
             shard_workers,
             secret=args.secret,
             extra_worker_args=_shard_worker_args(args),
             verbose=args.verbose,
         )
-        try:
-            gateway = ServingGateway(
-                pool,
-                max_in_flight=args.max_in_flight,
-                retry_after=args.retry_after,
-            )
-        except BaseException:  # pragma: no cover - construction race only
-            pool.close()
-            raise
     else:
         service = EncodingService(
             max_batch_size=args.batch_size,
@@ -460,30 +450,24 @@ def _build_serving_stack(args: argparse.Namespace):
                 max_batch_rows=args.max_batch_rows,
                 max_wait_ms=args.max_wait_ms,
             )
+        backend = LocalEncodeBackend(service, fuser)
 
-    builder = build_async_server if use_async else build_server
-    build_kwargs = dict(
-        host=args.host,
-        port=args.port,
-        secret=args.secret,
-        verbose=args.verbose,
-    )
-    if use_async:
-        build_kwargs["executor_threads"] = args.executor_threads
     try:
-        if gateway is not None:
-            server = builder(gateway=gateway, **build_kwargs)
-        else:
-            server = builder(
-                service,
-                fuser=fuser,
-                max_in_flight=args.max_in_flight,
-                retry_after=args.retry_after,
-                **build_kwargs,
-            )
+        gateway = ServingGateway(
+            backend,
+            max_in_flight=args.max_in_flight,
+            retry_after=args.retry_after,
+        )
+        server = build_async_server(
+            gateway=gateway,
+            host=args.host,
+            port=args.port,
+            secret=args.secret,
+            verbose=args.verbose,
+            executor_threads=args.executor_threads,
+        )
     except BaseException:
-        if gateway is not None:  # pragma: no cover - bind failures only
-            gateway.close()
+        backend.close()
         raise
     return service, fuser, server
 
@@ -491,12 +475,8 @@ def _build_serving_stack(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.serving.async_http import AsyncEncodingServer
-
     service, fuser, server = _build_serving_stack(args)
-    is_async = isinstance(server, AsyncEncodingServer)
-    if is_async:
-        server.start()
+    server.start()
     host, port = server.server_address[:2]
     shard_workers = getattr(args, "shard_workers", None)
     if fuser is not None:
@@ -508,18 +488,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fusion = f"fusion: per-shard, {shard_workers} shard worker(s)"
     else:
         fusion = "fusion: disabled"
-    names = service.model_names if service is not None else server.gateway.model_names
+    names = server.gateway.model_names
     print(f"serving {len(names)} model(s) {names} "
           f"on http://{host}:{port} ({fusion})", flush=True)
-    if is_async:
-        print(f"front end: async selector loop "
-              f"(executor_threads={args.executor_threads})", flush=True)
+    print(f"front end: async selector loop "
+          f"(executor_threads={args.executor_threads})", flush=True)
     print("routes: POST /encode, GET /models, GET /stats, GET /healthz",
           flush=True)
 
     # SIGTERM (the orchestrator's stop signal) drains exactly like Ctrl-C:
-    # in-flight requests finish their responses, the fuser flushes its
-    # lanes (shard workers shut down) on close, and the process exits 0.
+    # the server stops accepting, in-flight requests finish their
+    # responses, the fuser flushes its lanes (shard workers shut down) and
+    # the process exits 0.
     def _terminate(signum, frame):  # noqa: ARG001 - signal signature
         raise KeyboardInterrupt
 
@@ -530,15 +510,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("shutting down")
     finally:
         signal.signal(signal.SIGTERM, previous)
-        if is_async:
-            # Graceful sequence: stop accepting, drain, close the backend.
-            server.shutdown()
-            server.server_close()
-        else:
-            # serve_forever has already exited; release the socket, then
-            # close the backend (fuser flush / shard-pool teardown).
-            server.server_close()
-            server.gateway.close()
+        server.shutdown()
+        server.server_close()
     return 0
 
 
@@ -726,14 +699,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seconds advertised in the Retry-After header "
                                "of shed requests (default: 1)")
     scale = serve.add_argument_group("scale-out")
-    scale.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve on a single asyncio selector loop instead "
-                            "of one thread per connection (same routes and "
-                            "semantics; hundreds of concurrent keep-alive "
-                            "connections per process)")
+    # The asyncio front end is the only one; --async stays accepted (and
+    # ignored) so command lines written for the old choice still parse.
+    scale.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     scale.add_argument("--executor-threads", type=int, default=32,
-                       help="worker threads running encode dispatch under "
-                            "--async (default: 32)")
+                       help="worker threads running encode dispatch "
+                            "(default: 32)")
     scale.add_argument("--shard-workers", type=int, default=None, metavar="N",
                        help="partition the models across N worker "
                             "subprocesses via consistent hashing; dead "

@@ -12,8 +12,8 @@ serving stack via :mod:`repro.serving.wire`):
   mid-cell) and drains gracefully on SIGINT/SIGTERM;
 * a **worker** (``python -m repro worker --connect HOST:PORT``, module
   :mod:`repro.distributed.worker`) pulls cells, executes them through the
-  exact in-process repeat machinery, heartbeats to keep its leases alive
-  and reconnects with exponential backoff.
+  exact in-process repeat machinery, heartbeats to keep its running cell's
+  lease alive and reconnects with exponential backoff.
 
 Determinism is the contract: every cell seeds from its identity
 (``random_state + repeat``), floats cross the wire bit-exactly, and the

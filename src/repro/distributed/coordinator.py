@@ -22,7 +22,9 @@ Routes (all JSON; the plumbing is :mod:`repro.serving.wire`)
     backoff up to ``max_cell_retries``; deterministic ones — or transient
     ones past the retry budget — abort the grid (they would fail on every
     retry).
-``POST /worker/heartbeat`` ``{worker_id}`` → renews the worker's leases.
+``POST /worker/heartbeat`` ``{worker_id, cell_id}`` →
+    renews the lease of the cell the worker is running (``cell_id`` null:
+    none; absent: every lease the worker holds).
 ``POST /worker/bye``       ``{worker_id}`` → releases its leases instantly.
 ``GET  /dataset/<abbr>``   → the dataset matrix (workers cache it per grid,
     verifying its sha256 digest before trusting the copy).
@@ -453,7 +455,18 @@ class GridCoordinator:
         worker_id = str(request.get("worker_id") or "")
         if not worker_id:
             raise ValidationError("heartbeat requires a worker_id")
-        renewed = self.queue.heartbeat(worker_id)
+        if "cell_id" in request:
+            # The worker names the one cell it is running (null when idle).
+            # Any other lease it holds was granted by a response it never
+            # received (a lease request duplicated or retried in transit);
+            # renewing that lease too would keep its cell from ever being
+            # re-queued.
+            cell_id = request["cell_id"]
+            renewed = self.queue.heartbeat(
+                worker_id, () if cell_id is None else (str(cell_id),)
+            )
+        else:
+            renewed = self.queue.heartbeat(worker_id)
         return {
             "renewed": renewed,
             "stop": self._draining or self._failure is not None or self.queue.done,

@@ -137,14 +137,20 @@ class LeaseQueue:
             )
             return cell_id
 
-    def heartbeat(self, worker_id: str) -> int:
-        """Renew every lease held by ``worker_id``; returns how many."""
+    def heartbeat(self, worker_id: str, cell_ids=None) -> int:
+        """Renew the leases held by ``worker_id``; returns how many.
+
+        ``cell_ids`` (when given) limits the renewal to those cells; the
+        worker's other leases keep their deadlines and lapse.
+        """
         worker_id = str(worker_id)
         with self._lock:
             deadline = self._clock() + self.lease_timeout
             renewed = 0
             for lease in self._leases.values():
-                if lease.worker_id == worker_id:
+                if lease.worker_id == worker_id and (
+                    cell_ids is None or lease.cell_id in cell_ids
+                ):
                     lease.deadline = deadline
                     renewed += 1
             return renewed

@@ -11,8 +11,9 @@ GridCoordinator`.  Two modes share one pull loop:
   grid, then returns to standby for the next one.
 
 The pull loop is where the fault-tolerance contract is honoured from the
-worker side: a background thread heartbeats at a fraction of the lease
-timeout so only a *dead* worker ever lets a lease lapse; transport failures
+worker side: a background thread heartbeats the cell in flight at a
+fraction of the lease timeout, so only a *dead* worker's lease (or one
+granted by a response it never received) ever lapses; transport failures
 reconnect with capped exponential backoff; SIGTERM/SIGINT finish the cell
 in flight, say goodbye (releasing leases instantly) and exit 0.
 
@@ -122,6 +123,7 @@ class WorkerClient:
         self._failures = 0
         self._settings: dict | None = None
         self._heartbeat_interval = 1.0
+        self._cell_id: str | None = None  # the cell being run, for heartbeats
         self._datasets: dict[str, object] = {}
         self._supervision_cache: dict = {}
         self.n_cells_done = 0
@@ -197,7 +199,7 @@ class WorkerClient:
                     self.port,
                     "POST",
                     "/worker/heartbeat",
-                    {"worker_id": self.worker_id},
+                    {"worker_id": self.worker_id, "cell_id": self._cell_id},
                     timeout=10.0,
                     secret=self.secret,
                 )
@@ -306,8 +308,15 @@ class WorkerClient:
                     # remaining leases; poll again shortly.
                     self._stop.wait(self.poll_interval)
                     continue
-                if self._execute(cell_from_wire(cell_payload)):
-                    break
+                cell = cell_from_wire(cell_payload)
+                # Heartbeats renew only this cell's lease (see the
+                # coordinator's /worker/heartbeat).
+                self._cell_id = cell["cell_id"]
+                try:
+                    if self._execute(cell):
+                        break
+                finally:
+                    self._cell_id = None
         finally:
             self._stop.set()
             heartbeat.join(timeout=2)

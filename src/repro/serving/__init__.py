@@ -9,24 +9,18 @@ digest, and per-model latency/throughput counters.
 On top of it, :class:`BatchFuser` coalesces *concurrent* requests from many
 threads into single fused matmuls (bit-identical to unfused serving).  The
 HTTP tier exposes the stack over JSON/HTTP via ``python -m repro serve``:
-route logic lives in :class:`ServingGateway` (admission control, deadline
-budgets, dispatch) and is driven by either front end — the threaded
-:mod:`repro.serving.http` or the selector-loop
-:mod:`repro.serving.async_http` (``--async``) — over either backend: the
-in-process :class:`LocalEncodeBackend` or the multi-process
-:class:`ShardPool` (``--shard-workers N``), which consistent-hashes the
-models across worker subprocesses and re-spawns dead ones.
+one selector-loop front end, :class:`AsyncEncodingServer`, drives the route
+logic in :class:`ServingGateway` (admission control, deadline budgets,
+dispatch) over either backend: the in-process :class:`LocalEncodeBackend`
+or the multi-process :class:`ShardPool` (``--shard-workers N``), which
+consistent-hashes the models across worker subprocesses (each serving on
+its own :class:`AsyncEncodingServer`) and re-spawns dead ones.
 """
 
 from repro.serving.async_http import AsyncEncodingServer, build_async_server
 from repro.serving.cache import LRUFeatureCache, input_digest
 from repro.serving.fusion import BatchFuser, FuserClosedError, FusionTicket
-from repro.serving.http import (
-    EncodingHTTPServer,
-    LocalEncodeBackend,
-    ServingGateway,
-    build_server,
-)
+from repro.serving.http import LocalEncodeBackend, ServingGateway
 from repro.serving.service import EncodingService
 from repro.serving.shard import HashRing, ShardPool
 from repro.serving.stats import ModelStats
@@ -35,7 +29,6 @@ from repro.serving.wire import JsonRequestHandler, PayloadTooLargeError, request
 __all__ = [
     "AsyncEncodingServer",
     "BatchFuser",
-    "EncodingHTTPServer",
     "EncodingService",
     "FuserClosedError",
     "FusionTicket",
@@ -48,7 +41,6 @@ __all__ = [
     "ServingGateway",
     "ShardPool",
     "build_async_server",
-    "build_server",
     "input_digest",
     "request_json",
 ]

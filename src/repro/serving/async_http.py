@@ -1,29 +1,30 @@
-"""Asyncio front end for the serving stack: ``repro serve --async``.
+"""The HTTP front end of the serving stack: ``python -m repro serve``.
 
-The threaded front end (:mod:`repro.serving.http`) spends one OS thread per
-connection, which caps it at a few hundred mostly-idle keep-alive clients
-before thread overhead dominates.  :class:`AsyncEncodingServer` accepts the
-same JSON/HTTP dialect on a single selector event loop instead: hundreds of
-concurrent connections cost one loop thread plus a bounded
-:class:`~concurrent.futures.ThreadPoolExecutor` that runs the CPU-bound
-encode work (numpy releases the GIL inside BLAS, so executor threads
-overlap; the fixed pool also concentrates concurrent requests into the
-:class:`~repro.serving.fusion.BatchFuser`'s coalescing window).
+:class:`AsyncEncodingServer` is the one server behind ``/encode``, both in
+``repro serve`` and inside every shard worker
+(:mod:`repro.serving.shard`).  It accepts JSON/HTTP on a single selector
+event loop: hundreds of concurrent keep-alive connections cost one loop
+thread plus a bounded :class:`~concurrent.futures.ThreadPoolExecutor` that
+runs the CPU-bound encode work (numpy releases the GIL inside BLAS, so
+executor threads overlap; the fixed pool also concentrates concurrent
+requests into the :class:`~repro.serving.fusion.BatchFuser`'s coalescing
+window).  Each response goes out in one write, so Nagle's algorithm never
+holds back half a response waiting for a delayed ACK.
 
-Semantics are shared, not re-implemented: both front ends drive the same
-:class:`~repro.serving.http.ServingGateway` (admission control, deadline
-budgets, dispatch, ``/models``/``/stats``) and the same
-:func:`~repro.serving.http.map_encode_exception` error table, and parse
-bodies with the same :func:`~repro.serving.wire.validate_content_length` /
-:func:`~repro.serving.wire.decode_json_object` helpers — an ``/encode``
-response is byte-identical to the threaded server's for the same request.
+The route semantics — admission control, deadline budgets, dispatch,
+``/models``/``/stats`` and the error table — live in
+:class:`~repro.serving.http.ServingGateway` and
+:func:`~repro.serving.http.map_encode_exception`; bodies are framed and
+decoded with :func:`~repro.serving.wire.validate_content_length` and
+:func:`~repro.serving.wire.decode_json_object`.
 
-Lifecycle mirrors the stdlib servers so the CLI and tests treat both
-uniformly: :meth:`start` binds and begins accepting (port 0 → ephemeral,
-``server_address``/``server_port`` hold the bound one),``serve_forever``
-blocks the calling thread, :meth:`shutdown` performs the graceful sequence
-*stop accepting → drain in-flight encodes → sever idle connections → close
-the backend*, and :meth:`server_close` releases the loop and executor.
+Lifecycle: :meth:`~AsyncEncodingServer.start` binds and begins accepting
+(port 0 → ephemeral, ``server_address``/``server_port`` hold the bound
+one), ``serve_forever`` blocks the calling thread,
+:meth:`~AsyncEncodingServer.shutdown` performs the graceful sequence *stop
+accepting → drain in-flight encodes → sever idle connections → close the
+backend*, and :meth:`~AsyncEncodingServer.server_close` releases the loop
+and executor.
 
 The event loop runs on a dedicated background thread; every public method
 is called from ordinary (non-loop) threads and marshals work in with
@@ -61,7 +62,7 @@ _HEAD_LIMIT = 64 * 1024
 
 
 class AsyncEncodingServer:
-    """Selector-loop HTTP server sharing the threaded front end's gateway.
+    """Selector-loop HTTP server in front of a :class:`ServingGateway`.
 
     Parameters
     ----------
@@ -70,13 +71,24 @@ class AsyncEncodingServer:
     service : EncodingService, optional
         Registry answering the requests (``None`` only with ``gateway``).
     fuser : BatchFuser, optional
-        Fusion queue for ``/encode`` (same semantics as the threaded
-        server).
+        When given, ``/encode`` requests go through the fusion queue so
+        concurrent requests for the same model share one matmul; without
+        it each request is encoded directly.
     gateway : ServingGateway, optional
         Pre-built gateway (e.g. over a shard pool); mutually exclusive
         with ``service``/``fuser``/``max_in_flight``/``retry_after``.
-    max_in_flight, retry_after, secret, verbose
-        As on :class:`~repro.serving.http.EncodingHTTPServer`.
+    max_in_flight : int, optional
+        Admission-control bound: at most this many ``/encode`` requests are
+        processed concurrently; excess requests are answered ``503`` with a
+        ``Retry-After`` header instead of queueing unboundedly.  ``None``
+        (the default) disables the gate.
+    retry_after : float, default 1.0
+        Seconds advertised in the ``Retry-After`` header of shed requests.
+    secret : str, optional
+        Shared secret required (``X-Repro-Secret``) on every route except
+        ``/healthz``.
+    verbose : bool, default False
+        Log one line per request to stderr.
     executor_threads : int, default 32
         Worker threads running the encode dispatch.  More threads let more
         concurrent requests reach the fuser's coalescing window at once;
@@ -107,8 +119,6 @@ class AsyncEncodingServer:
         elif service is not None or fuser is not None:
             raise ValidationError("pass either a gateway or a service, not both")
         self.gateway = gateway
-        self.service = service
-        self.fuser = fuser
         self.verbose = verbose
         self.auth_secret = str(secret) if secret else None
         self.executor_threads = check_positive_int(
@@ -187,9 +197,10 @@ class AsyncEncodingServer:
     def shutdown(self, *, drain_timeout: float = 10.0) -> None:
         """Graceful stop: stop accepting, drain in-flight, close the backend.
 
-        Same ordering contract as the threaded server — see
-        :meth:`repro.serving.http.EncodingHTTPServer.shutdown`.  Idempotent;
-        must not be called from the loop thread.
+        The order is the point: closing the backend first would answer the
+        in-flight requests with spurious errors from a dead fusion queue.
+        The drain is bounded by ``drain_timeout``.  Idempotent; must not be
+        called from the loop thread.
         """
         with self._lifecycle_lock:
             if self._shut_down or not self._started:
@@ -373,25 +384,25 @@ class AsyncEncodingServer:
         if not self._authorized(headers):
             await self._send_unauthorized(writer)
             return False
+        unknown_route = {"error": f"unknown route {path!r}"}
         try:
             length = validate_content_length(
                 headers.get("content-length"), MAX_BODY_BYTES
             )
-        except PayloadTooLargeError as exc:
-            # The unread body would desync the connection; sever it.
-            await self._respond(writer, 413, {"error": str(exc)}, close=True)
-            return False
         except ValidationError as exc:
-            await self._respond(writer, 400, {"error": str(exc)}, close=True)
+            # The unread body would desync the connection; sever it.  On a
+            # route that does not exist the route error wins over framing.
+            if path != "/encode":
+                status, payload = 404, unknown_route
+            elif isinstance(exc, PayloadTooLargeError):
+                status, payload = 413, {"error": str(exc)}
+            else:
+                status, payload = 400, {"error": str(exc)}
+            await self._respond(writer, status, payload, close=True)
             return False
         if path != "/encode":
             await self._discard(reader, length)
-            await self._respond(
-                writer,
-                404,
-                {"error": f"unknown route {path!r}"},
-                close=not keep_alive,
-            )
+            await self._respond(writer, 404, unknown_route, close=not keep_alive)
             return keep_alive
         if not self.gateway.try_admit():
             # Shed before reading the body: an overloaded server should do
@@ -410,11 +421,15 @@ class AsyncEncodingServer:
             status, body, extra = await asyncio.get_running_loop().run_in_executor(
                 self._executor, self._encode_job, raw, arrival
             )
-            await self._respond_raw(
-                writer, status, body, headers=extra, close=not keep_alive
-            )
         finally:
+            # Free the slot before the response goes out, so a client that
+            # holds its response is never still counted in flight.  No
+            # await separates this from the write below: a shutdown that
+            # drained on this release cannot sever the connection first.
             self.gateway.release_request()
+        await self._respond_raw(
+            writer, status, body, headers=extra, close=not keep_alive
+        )
         return keep_alive
 
     def _encode_job(self, raw: bytes, arrival: float) -> tuple[int, bytes, dict]:

@@ -1,21 +1,15 @@
-"""HTTP front end for the serving stack: ``python -m repro serve``.
+"""Serving semantics behind ``python -m repro serve``: gateway, backends, errors.
 
-A deliberately dependency-free JSON-over-HTTP layer built on the stdlib
-:class:`http.server.ThreadingHTTPServer` — one handler thread per
-connection, which is exactly the concurrency shape the
-:class:`~repro.serving.fusion.BatchFuser` coalesces: simultaneous ``/encode``
-requests for the same model are answered by shared fused matmuls.  The
-request/response plumbing (JSON bodies, Content-Length validation, the
-413 size cap) lives in :mod:`repro.serving.wire`, shared with the
-distributed experiment protocol.
-
-The route logic itself — admission control, deadline budgets, encode
-dispatch and the ``/models``/``/stats`` snapshots — lives in
-:class:`ServingGateway`, shared verbatim with the asyncio front end
-(:mod:`repro.serving.async_http`) so both speak bit-identical semantics.
-The gateway dispatches to a *backend*: :class:`LocalEncodeBackend`
-(an in-process :class:`EncodingService`, optionally fused) or the
-multi-process :class:`~repro.serving.shard.ShardPool`.
+Everything an ``/encode`` request passes through that is not connection
+I/O lives here: :class:`ServingGateway` (admission control, deadline
+budgets, dispatch and the ``/models``/``/stats`` snapshots), the in-process
+:class:`LocalEncodeBackend` (an :class:`EncodingService`, optionally behind
+a :class:`~repro.serving.fusion.BatchFuser`) and :func:`map_encode_exception`,
+the one table mapping failures to HTTP statuses.  The gateway can also
+dispatch to the multi-process :class:`~repro.serving.shard.ShardPool`.
+Connections are served by the asyncio front end,
+:class:`~repro.serving.async_http.AsyncEncodingServer`, both for
+``repro serve`` and inside every shard worker.
 
 Routes
 ------
@@ -31,54 +25,43 @@ Routes
     "deadline_ms": 50}`` (the last two optional); responds
     ``{"features": [[...], ...], "shape": [n, k], "dtype": ...}``.
 
-Overload protection: a server built with ``max_in_flight`` answers
+Overload protection: a gateway built with ``max_in_flight`` answers
 ``503`` with a ``Retry-After`` header once that many ``/encode`` requests
 are in flight, instead of queueing unboundedly until every client times
 out.  A request carrying ``deadline_ms`` is shed the same way when its
 budget is spent before compute can start — on the fused path the budget
 caps the coalescing wait, on the unfused path it is enforced at compute
 start (covering the wait for the model's compute lock).  Shed/admitted
-counters appear under ``"admission"`` in ``/stats``.  A server built with
-``secret`` requires the ``X-Repro-Secret`` header everywhere except
-``/healthz``.
+counters appear under ``"admission"`` in ``/stats``.
 
-Shutdown ordering: ``shutdown()`` first stops the accept loop, then
-drains the in-flight ``/encode`` requests, and only then closes the
-fuser — closing first would answer the in-flight requests with spurious
-errors from a dead fusion queue.
-
-Error mapping: unknown model name → 404, invalid input or body → 400,
-missing/bad secret → 401, oversized body → 413, overload, spent deadline
-or a closing server → 503 (+ ``Retry-After``), anything else → 500; every
-error body is ``{"error": message}``.
+Error mapping: unknown model name or route → 404, invalid input or body →
+400, missing/bad secret → 401, oversized body → 413, overload, spent
+deadline or a closing server → 503 (+ ``Retry-After``), anything else →
+500; every error body is ``{"error": message}``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from http.server import ThreadingHTTPServer
 
 import numpy as np
 
 from repro.exceptions import (
     DeadlineExceededError,
-    ReproError,
     ServingError,
     ValidationError,
 )
 from repro.serving.fusion import BatchFuser, FuserClosedError
 from repro.serving.service import EncodingService
 from repro.serving.stats import AdmissionStats
-from repro.serving.wire import MAX_BODY_BYTES, JsonRequestHandler, PayloadTooLargeError
+from repro.serving.wire import MAX_BODY_BYTES, PayloadTooLargeError
 from repro.utils.validation import check_positive_int
 
 __all__ = [
-    "EncodingHTTPServer",
     "DeadlineExceededError",
     "LocalEncodeBackend",
     "ServingGateway",
-    "build_server",
     "map_encode_exception",
     "MAX_BODY_BYTES",
 ]
@@ -87,9 +70,8 @@ __all__ = [
 def map_encode_exception(exc: BaseException, gateway: "ServingGateway"):
     """``(status, payload, headers)`` for an exception out of ``handle_encode``.
 
-    The single source of the error mapping, shared by the threaded and
-    asyncio front ends so both answer identical statuses for identical
-    failures.
+    The single source of the error mapping: the front end answers every
+    failure of an ``/encode`` request through this table.
     """
     if isinstance(exc, (DeadlineExceededError, FuserClosedError)):
         return (
@@ -109,7 +91,7 @@ def map_encode_exception(exc: BaseException, gateway: "ServingGateway"):
 class LocalEncodeBackend:
     """In-process encode backend: an :class:`EncodingService` + optional fuser.
 
-    The default backend behind both HTTP front ends.  ``/encode`` requests
+    The default backend behind ``repro serve``.  ``/encode`` requests
     whose ``use_cache`` matches the fuser's configuration go through the
     fusion queue (concurrent requests share one stacked matmul, the
     deadline budget caps the coalescing wait); mismatching requests fall
@@ -174,12 +156,10 @@ class LocalEncodeBackend:
 
 
 class ServingGateway:
-    """Front-end-agnostic serving logic: admission, deadlines, dispatch.
+    """Serving logic apart from connection I/O: admission, deadlines, dispatch.
 
-    Owned by exactly one front end (threaded or asyncio) and dispatching
-    to exactly one backend (local service or shard pool).  Everything a
-    request passes through that is not connection I/O lives here, so the
-    two front ends cannot drift apart semantically.
+    Owned by exactly one :class:`~repro.serving.async_http.AsyncEncodingServer`
+    and dispatching to exactly one backend (local service or shard pool).
     """
 
     def __init__(
@@ -301,208 +281,3 @@ class ServingGateway:
         :meth:`drain` returned — in-flight requests still own the backend.
         """
         self.backend.close()
-
-
-class _EncodingRequestHandler(JsonRequestHandler):
-    server_version = "repro-serve/1.0"
-
-    # ------------------------------------------------------------- routes
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        gateway: ServingGateway = self.server.gateway  # type: ignore[attr-defined]
-        if self.path == "/healthz":
-            # Liveness stays open: probes should not need the secret.
-            self.send_json(
-                200, {"status": "ok", "models": gateway.model_names}
-            )
-        elif not self.authorize():
-            return
-        elif self.path == "/models":
-            self.send_json(200, {"models": gateway.describe_models()})
-        elif self.path == "/stats":
-            self.send_json(200, gateway.describe_stats())
-        else:
-            self.send_error_json(404, f"unknown route {self.path!r}")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        if not self.authorize():
-            return
-        if self.path != "/encode":
-            self.drain_body()
-            self.send_error_json(404, f"unknown route {self.path!r}")
-            return
-        gateway: ServingGateway = self.server.gateway  # type: ignore[attr-defined]
-        arrival = time.monotonic()
-        if not gateway.try_admit():
-            # Shed before reading the body: an overloaded server should do
-            # the least possible work per rejected request.
-            self.drain_body()
-            self.send_json(
-                503,
-                {"error": "server is at capacity (max_in_flight reached)"},
-                headers={"Retry-After": gateway.retry_after_header},
-            )
-            return
-        try:
-            request = self.read_json_body()
-            response = gateway.handle_encode(request, arrival=arrival)
-        except Exception as exc:  # noqa: BLE001 - mapped to a status below
-            status, payload, headers = map_encode_exception(exc, gateway)
-            self.send_json(status, payload, headers=headers or None)
-        else:
-            self.send_json(200, response)
-        finally:
-            gateway.release_request()
-
-
-class EncodingHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server wrapping an :class:`EncodingService`.
-
-    Parameters
-    ----------
-    address : (host, port)
-        Bind address; port 0 picks an ephemeral port (``server_port`` holds
-        the bound one).
-    service : EncodingService, optional
-        The model registry answering the requests (``None`` only when a
-        pre-built ``gateway`` with its own backend is supplied).
-    fuser : BatchFuser, optional
-        When given, ``/encode`` requests go through the fusion queue so
-        concurrent requests for the same model share one matmul; without
-        it each request is encoded directly.
-    gateway : ServingGateway, optional
-        Pre-built gateway (e.g. wrapping a
-        :class:`~repro.serving.shard.ShardPool`); mutually exclusive with
-        ``service``/``fuser``/``max_in_flight``/``retry_after``.
-    max_in_flight : int, optional
-        Admission-control bound: at most this many ``/encode`` requests are
-        processed concurrently; excess requests are answered ``503`` with a
-        ``Retry-After`` header instead of queueing unboundedly.  ``None``
-        (the default) disables the gate.
-    retry_after : float, default 1.0
-        Seconds advertised in the ``Retry-After`` header of shed requests.
-    secret : str, optional
-        Shared secret required (``X-Repro-Secret``) on every route except
-        ``/healthz``.
-    verbose : bool, default False
-        Log one line per request to stderr (stdlib format).
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: EncodingService | None = None,
-        *,
-        fuser: BatchFuser | None = None,
-        gateway: ServingGateway | None = None,
-        max_in_flight: int | None = None,
-        retry_after: float = 1.0,
-        secret: str | None = None,
-        verbose: bool = False,
-    ) -> None:
-        if gateway is None:
-            if service is None:
-                raise ValidationError("either service or gateway is required")
-            gateway = ServingGateway(
-                LocalEncodeBackend(service, fuser),
-                max_in_flight=max_in_flight,
-                retry_after=retry_after,
-            )
-        elif service is not None or fuser is not None:
-            raise ValidationError("pass either a gateway or a service, not both")
-        self.gateway = gateway
-        self.service = service
-        self.fuser = fuser
-        self.verbose = verbose
-        self.auth_secret = str(secret) if secret else None
-        self._shutdown_lock = threading.Lock()
-        self._shut_down = False
-        super().__init__(address, _EncodingRequestHandler)
-
-    # --------------------------------------------------- gateway delegation
-    # Kept as thin delegates so embedding code (benchmarks, tests) written
-    # against the pre-gateway API keeps working unchanged.
-    @property
-    def admission(self) -> AdmissionStats:
-        return self.gateway.admission
-
-    @property
-    def max_in_flight(self) -> int | None:
-        return self.gateway.max_in_flight
-
-    @property
-    def retry_after(self) -> float:
-        return self.gateway.retry_after
-
-    @property
-    def retry_after_header(self) -> int:
-        return self.gateway.retry_after_header
-
-    def try_admit(self) -> bool:
-        return self.gateway.try_admit()
-
-    def release_request(self) -> None:
-        self.gateway.release_request()
-
-    def handle_encode(self, request: dict, *, arrival: float | None = None) -> dict:
-        return self.gateway.handle_encode(request, arrival=arrival)
-
-    def _remaining_budget_ms(
-        self, request: dict, arrival: float | None
-    ) -> float | None:
-        return self.gateway._remaining_budget_ms(request, arrival)
-
-    def describe_models(self) -> dict:
-        return self.gateway.describe_models()
-
-    def describe_stats(self) -> dict:
-        return self.gateway.describe_stats()
-
-    # ------------------------------------------------------------ lifecycle
-    def shutdown(self, *, drain_timeout: float = 10.0) -> None:
-        """Graceful stop: stop accepting, drain in-flight, close the fuser.
-
-        The order is the point (and was once reversed, answering in-flight
-        requests with spurious errors from an already-closed fuser):
-
-        1. ``super().shutdown()`` stops the accept loop — no new requests;
-        2. :meth:`ServingGateway.drain` waits for the admitted ``/encode``
-           requests to finish (bounded by ``drain_timeout``);
-        3. the gateway closes its backend — the fuser refuses further
-           submissions and flushes whatever its lanes still hold.
-
-        Idempotent: a second call returns immediately.
-        """
-        with self._shutdown_lock:
-            if self._shut_down:
-                return
-            self._shut_down = True
-        super().shutdown()
-        self.gateway.drain(timeout=drain_timeout)
-        self.gateway.close()
-
-
-def build_server(
-    service: EncodingService | None = None,
-    *,
-    fuser: BatchFuser | None = None,
-    gateway: ServingGateway | None = None,
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    max_in_flight: int | None = None,
-    retry_after: float = 1.0,
-    secret: str | None = None,
-    verbose: bool = False,
-) -> EncodingHTTPServer:
-    """Bind an :class:`EncodingHTTPServer` (port 0 → ephemeral port)."""
-    return EncodingHTTPServer(
-        (host, port),
-        service,
-        fuser=fuser,
-        gateway=gateway,
-        max_in_flight=max_in_flight,
-        retry_after=retry_after,
-        secret=secret,
-        verbose=verbose,
-    )

@@ -3,9 +3,10 @@
 A single serving process is bounded by one interpreter (the GIL outside
 BLAS) and one address space (every registered model's weights).
 :class:`ShardPool` scales past both by partitioning the registered models
-across ``N`` worker *subprocesses*: each worker runs the ordinary threaded
-serving stack (:mod:`repro.serving.http` — fusion, cache, admission and all)
-on an ephemeral loopback port and owns a **disjoint subset** of the models.
+across ``N`` worker *subprocesses*: each worker runs the same serving stack
+as ``repro serve`` (the :class:`~repro.serving.async_http.AsyncEncodingServer`
+front end with fusion, cache and admission) on an ephemeral loopback port
+and owns a **disjoint subset** of the models.
 
 Routing is consistent hashing (:class:`HashRing`): model names hash onto a
 ring of virtual nodes, so the assignment is a pure function of
@@ -27,12 +28,13 @@ connection setup.
 :class:`ShardPool` implements the same backend protocol as
 :class:`~repro.serving.http.LocalEncodeBackend` (``model_names``,
 ``encode_request``, ``describe_models``, ``describe_stats``, ``close``), so
-a :class:`~repro.serving.http.ServingGateway` — and with it either HTTP
-front end — drives a shard pool exactly like an in-process service.
+a :class:`~repro.serving.http.ServingGateway` drives a shard pool exactly
+like an in-process service.
 
 ``python -m repro.serving.shard`` is the worker entry point (spawned by the
 pool, not typed by hand): it loads its artifact subset, binds port 0,
-announces the bound port through ``--port-file`` and serves until SIGTERM.
+announces the bound port through ``--port-file`` and serves until SIGTERM,
+which drains in-flight requests before the worker exits.
 """
 
 from __future__ import annotations
@@ -119,11 +121,12 @@ class HashRing:
 def worker_main(argv: list[str] | None = None) -> int:
     """Entry point of one shard worker subprocess.
 
-    Builds the standard threaded serving stack over the artifact subset it
-    was handed, binds an ephemeral port, and announces it atomically
-    through ``--port-file`` (write to a temp name, then ``rename``) so the
-    parent never reads a half-written port.  SIGTERM drains exactly like
-    the top-level ``repro serve``.
+    Builds the standard serving stack over the artifact subset it was
+    handed, binds an ephemeral port, and announces it atomically through
+    ``--port-file`` (write to a temp name, then ``rename``) so the parent
+    never reads a half-written port.  SIGTERM drains exactly like the
+    top-level ``repro serve``: stop accepting, finish the in-flight
+    requests, then close the fuser.
     """
     parser = argparse.ArgumentParser(prog="repro-shard-worker")
     parser.add_argument("--artifact", action="append", required=True,
@@ -141,8 +144,8 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
+    from repro.serving.async_http import build_async_server
     from repro.serving.fusion import BatchFuser
-    from repro.serving.http import build_server
     from repro.serving.service import EncodingService
 
     service = EncodingService(
@@ -162,7 +165,7 @@ def worker_main(argv: list[str] | None = None) -> int:
             max_batch_rows=args.max_batch_rows,
             max_wait_ms=args.max_wait_ms,
         )
-    server = build_server(
+    server = build_async_server(
         service,
         fuser=fuser,
         host=args.host,
@@ -173,6 +176,7 @@ def worker_main(argv: list[str] | None = None) -> int:
         secret=os.environ.get("REPRO_SECRET"),
         verbose=args.verbose,
     )
+    server.start()
 
     port_file = Path(args.port_file)
     staging = port_file.with_suffix(port_file.suffix + ".tmp")
@@ -189,9 +193,8 @@ def worker_main(argv: list[str] | None = None) -> int:
         pass
     finally:
         signal.signal(signal.SIGTERM, previous)
+        server.shutdown()
         server.server_close()
-        if fuser is not None:
-            fuser.close()
     return 0
 
 
@@ -299,24 +302,31 @@ class ShardWorkerProcess:
             self.process.wait(timeout=10)
         self.spawn()
 
-    def terminate(self, timeout: float = 10.0) -> None:
+    def terminate(self) -> None:
+        """Ask the worker to stop: on SIGTERM it drains, then exits."""
+        if self.alive:
+            self.process.terminate()
+
+    def join(self, timeout: float = 10.0) -> None:
+        """Wait for the worker to exit; SIGKILL it after ``timeout``.
+
+        Sends no signal of its own: a second SIGTERM would land mid-drain.
+        """
         if self.process is None:
             return
-        if self.process.poll() is None:
-            self.process.terminate()
-            try:
-                self.process.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-                self.process.kill()
-                self.process.wait(timeout=5)
+        try:
+            self.process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+            self.process.kill()
+            self.process.wait(timeout=5)
 
 
 # ----------------------------------------------------------------- pool
 class ShardPool:
     """Consistent-hash routed pool of shard worker subprocesses.
 
-    Implements the gateway backend protocol, so either HTTP front end can
-    sit in front of it (``repro serve --shard-workers N``).
+    Implements the gateway backend protocol, so the HTTP front end can sit
+    in front of it (``repro serve --shard-workers N``).
 
     Parameters
     ----------
@@ -608,17 +618,16 @@ class ShardPool:
         return pid
 
     def close(self) -> None:
-        """Stop the monitor, SIGTERM every worker, SIGKILL stragglers."""
+        """Stop the monitor, SIGTERM every worker once, SIGKILL stragglers."""
         self._closed = True
         self._monitor_stop.set()
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=10)
             self._monitor_thread = None
         for worker in self._workers.values():
-            if worker.alive:
-                worker.process.terminate()
-        for worker in self._workers.values():
             worker.terminate()
+        for worker in self._workers.values():
+            worker.join()
         shutil.rmtree(self._port_dir, ignore_errors=True)
 
     def __enter__(self) -> "ShardPool":

@@ -1,14 +1,18 @@
 """Shared JSON-over-HTTP plumbing for the serving and distributed layers.
 
-Both the encoding front end (:mod:`repro.serving.http`) and the distributed
-experiment coordinator/worker protocol (:mod:`repro.distributed`) speak the
-same dialect: JSON request bodies, JSON responses, keep-alive connections and
-explicit error mapping.  This module holds the pieces they share:
+Both the encoding front end (:mod:`repro.serving.async_http`) and the
+distributed experiment coordinator/worker protocol (:mod:`repro.distributed`)
+speak the same dialect: JSON request bodies, JSON responses, keep-alive
+connections and explicit error mapping.  This module holds the pieces they
+share:
 
+* :func:`validate_content_length` and :func:`decode_json_object` — the
+  framing and body rules every server applies;
 * :class:`JsonRequestHandler` — a :class:`~http.server.BaseHTTPRequestHandler`
-  base class with safe body reading (Content-Length validation so a missing
-  or garbage header can never hang a blocking read, and a size cap answered
-  with ``413 Payload Too Large``) and JSON response helpers;
+  base class for the distributed coordinator and standby worker, with safe
+  body reading (Content-Length validation so a missing or garbage header
+  can never hang a blocking read, and a size cap answered with ``413
+  Payload Too Large``) and JSON response helpers;
 * :exc:`PayloadTooLargeError` — the size-cap violation, mapped to 413 where a
   plain :class:`~repro.exceptions.ValidationError` maps to 400;
 * :func:`request_json` — the matching stdlib client: one JSON request over a
@@ -62,8 +66,8 @@ class WireError(ReproError, ConnectionError):
 def validate_content_length(raw: str | None, max_bytes: int) -> int:
     """Validated ``Content-Length`` value shared by every front end.
 
-    The threaded handler and the asyncio parser must agree byte-for-byte
-    on what framing is acceptable, so the rules live in one place: a
+    :class:`JsonRequestHandler` and the asyncio front end must agree on
+    what framing is acceptable, so the rules live in one place: a
     missing, non-numeric or negative header raises
     :class:`ValidationError` (HTTP 400 — a blocking body read without a
     trustworthy length would hang the reader), and a length past
@@ -110,6 +114,11 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+
+    #: ``send_json`` writes the head and the body in two sends.  With
+    #: Nagle's algorithm on, the body waits for the client's delayed ACK of
+    #: the head (~40 ms per keep-alive exchange on Linux loopback).
+    disable_nagle_algorithm = True
 
     #: Per-handler request-body cap; subclasses may override.
     max_body_bytes = MAX_BODY_BYTES

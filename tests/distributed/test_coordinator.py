@@ -272,6 +272,22 @@ class TestHeartbeatAndBye:
         assert status == 200
         assert body == {"renewed": 1, "stop": False}
 
+    def test_heartbeat_naming_a_cell_renews_only_that_lease(self, coordinator):
+        # The second grant's response was lost in transit (a duplicated
+        # lease request): w1 runs only "0:0" and must not keep "0:1" alive.
+        call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
+        call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
+        _, body = call(
+            coordinator, "POST", "/worker/heartbeat",
+            {"worker_id": "w1", "cell_id": "0:0"},
+        )
+        assert body == {"renewed": 1, "stop": False}
+        _, body = call(
+            coordinator, "POST", "/worker/heartbeat",
+            {"worker_id": "w1", "cell_id": None},
+        )
+        assert body == {"renewed": 0, "stop": False}
+
     def test_bye_releases_leases(self, coordinator):
         call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
         status, body = call(

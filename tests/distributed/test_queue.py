@@ -123,6 +123,19 @@ class TestHeartbeat:
         assert queue.expire_overdue() == ["c"]
         assert queue.n_leased == 2
 
+    def test_heartbeat_renews_only_the_named_cells(self, clock):
+        # w1 runs "a"; "b" was granted by a lease response it never
+        # received, so only "a" is renewed and "b" lapses back to the queue.
+        queue = make_queue(clock, lease_timeout=10.0)
+        queue.lease("w1")
+        queue.lease("w1")
+        clock.advance(8.0)
+        assert queue.heartbeat("w1", ("a",)) == 1
+        assert queue.heartbeat("w1", ()) == 0
+        clock.advance(4.0)
+        assert queue.expire_overdue() == ["b"]
+        assert queue.n_leased == 1
+
     def test_heartbeat_for_unknown_worker_renews_nothing(self, clock):
         queue = make_queue(clock)
         queue.lease("w1")

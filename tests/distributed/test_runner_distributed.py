@@ -8,6 +8,8 @@ leases are re-queued.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -106,19 +108,29 @@ class TestWorkerLoss:
         )
 
         state = {"n_granted": 0, "killed": False}
+        state_lock = threading.Lock()  # lease requests arrive concurrently
         real_handle_lease = GridCoordinator.POST_ROUTES["/cell/lease"]
 
         def killing_handle_lease(coordinator, request):
             response = real_handle_lease(coordinator, request)
-            if response.get("cell") is not None:
+            if response.get("cell") is None:
+                return response
+            with state_lock:
                 state["n_granted"] += 1
-                # By the third grant both workers have touched the grid and
-                # at least one lease is live on the first worker.  Killing
-                # it *before this response is delivered* guarantees a lease
-                # dies with it — the cell must come back via expiry.
-                if state["n_granted"] == 3 and not state["killed"]:
+                # Kill the worker this cell was just leased to, *before the
+                # response is delivered*: the lease is live in the queue and
+                # dies with its holder, so the cell must come back via
+                # expiry.  The second grant or later keeps the kill
+                # mid-grid.  Worker ids are "<host>-<pid>-<suffix>".
+                pid = int(request["worker_id"].rsplit("-", 2)[1])
+                holder = [
+                    process for pool in pool_box for process in pool.processes
+                    if process.pid == pid
+                ]
+                if state["n_granted"] >= 2 and holder and not state["killed"]:
                     state["killed"] = True
-                    pool_box[0].kill_one()
+                    holder[0].kill()
+                    holder[0].wait(timeout=10)
             return response
 
         monkeypatch.setitem(

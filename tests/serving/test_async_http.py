@@ -1,9 +1,9 @@
-"""Tests for the asyncio serving front end (``repro.serving.async_http``).
+"""Tests for the asyncio front end's HTTP handling
+(``repro.serving.async_http``): framing, unsupported methods, keep-alive,
+raw-socket edge cases and shed accounting.
 
-The async server must be semantically indistinguishable from the threaded
-one: same routes, same statuses, same headers, and *byte-identical*
-``/encode`` response bodies — both front ends drive the same
-:class:`~repro.serving.http.ServingGateway`.
+Routes, deadlines, auth and shutdown are covered against the same server
+in ``test_http.py``, ``test_overload.py`` and ``test_shutdown.py``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.serving import BatchFuser, EncodingService
-from repro.serving.async_http import build_async_server
-from repro.serving.http import build_server
-from repro.serving.wire import SECRET_HEADER
-
-SECRET = "async-secret"
+from repro.serving.async_http import AsyncEncodingServer, build_async_server
 
 
 @pytest.fixture(scope="module")
@@ -87,32 +83,6 @@ def exchange(
 
 
 class TestRoutes:
-    def test_healthz(self, async_stack):
-        server, framework, data, port = async_stack
-        status, body, _, _ = exchange(port, "GET", "/healthz")
-        assert status == 200
-        assert body == {"status": "ok", "models": ["ir"]}
-
-    def test_models(self, async_stack):
-        server, framework, data, port = async_stack
-        status, body, _, _ = exchange(port, "GET", "/models")
-        assert status == 200
-        assert "ir" in body["models"]
-        assert body["models"]["ir"]["fast_path"] in (True, False)
-
-    def test_stats(self, async_stack):
-        server, framework, data, port = async_stack
-        status, body, _, _ = exchange(port, "GET", "/stats")
-        assert status == 200
-        assert set(body) >= {"models", "cache", "fusion", "admission"}
-
-    def test_unknown_route_404(self, async_stack):
-        server, framework, data, port = async_stack
-        status, body, _, _ = exchange(port, "GET", "/nope")
-        assert status == 404
-        status, body, _, _ = exchange(port, "POST", "/nope", {"x": 1})
-        assert status == 404
-
     def test_unsupported_method_501(self, async_stack):
         server, framework, data, port = async_stack
         connection = http.client.HTTPConnection(
@@ -135,48 +105,6 @@ class TestEncode:
         assert np.array_equal(
             np.asarray(body["features"]), framework.transform(data[:5])
         )
-
-    def test_encode_bytes_identical_to_threaded_front_end(self, fitted):
-        framework, data = fitted
-        payload = {"model": "ir", "data": data[:6].tolist()}
-
-        threaded = build_server(
-            make_service(framework),
-            fuser=None,
-            port=0,
-        )
-        thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-        thread.start()
-        try:
-            _, _, threaded_raw, _ = exchange(
-                threaded.server_address[1], "POST", "/encode", payload
-            )
-        finally:
-            threaded.shutdown()
-            threaded.server_close()
-            thread.join(timeout=5)
-
-        asynchronous = build_async_server(
-            make_service(framework), fuser=None, port=0
-        )
-        asynchronous.start()
-        try:
-            _, _, async_raw, _ = exchange(
-                asynchronous.server_port, "POST", "/encode", payload
-            )
-        finally:
-            asynchronous.shutdown()
-            asynchronous.server_close()
-
-        assert async_raw == threaded_raw
-
-    def test_unknown_model_404(self, async_stack):
-        server, framework, data, port = async_stack
-        status, body, _, _ = exchange(
-            port, "POST", "/encode", {"model": "zz", "data": data[:2].tolist()}
-        )
-        assert status == 404
-        assert "zz" in body["error"]
 
     def test_invalid_json_400(self, async_stack):
         server, framework, data, port = async_stack
@@ -215,17 +143,6 @@ class TestEncode:
         assert response.status == 413
         assert response.headers.get("Connection") == "close"
         connection.close()
-
-    def test_non_positive_deadline_is_a_validation_error(self, async_stack):
-        server, framework, data, port = async_stack
-        status, body, _, _ = exchange(
-            port,
-            "POST",
-            "/encode",
-            {"model": "ir", "data": data[:2].tolist(), "deadline_ms": -1},
-        )
-        assert status == 400
-        assert "deadline_ms" in body["error"]
 
     def test_concurrent_clients_all_correct(self, async_stack):
         server, framework, data, port = async_stack
@@ -294,42 +211,6 @@ class TestKeepAlive:
         assert b"Connection: close" in response
 
 
-class TestAuth:
-    @pytest.fixture()
-    def secured(self, fitted):
-        framework, data = fitted
-        server = build_async_server(
-            make_service(framework), port=0, secret=SECRET
-        )
-        server.start()
-        yield server, data, server.server_port
-        server.shutdown()
-        server.server_close()
-
-    def test_healthz_stays_open(self, secured):
-        server, data, port = secured
-        status, _, _, _ = exchange(port, "GET", "/healthz")
-        assert status == 200
-
-    def test_missing_secret_401(self, secured):
-        server, data, port = secured
-        status, body, _, _ = exchange(
-            port, "POST", "/encode", {"model": "ir", "data": data[:2].tolist()}
-        )
-        assert status == 401
-        status, _, _, _ = exchange(port, "GET", "/stats")
-        assert status == 401
-
-    def test_valid_secret_accepted(self, secured):
-        server, data, port = secured
-        status, body, _, _ = exchange(
-            port, "POST", "/encode",
-            {"model": "ir", "data": data[:2].tolist()},
-            headers={SECRET_HEADER: SECRET},
-        )
-        assert status == 200
-
-
 class TestAdmission:
     def test_full_server_sheds_503_with_retry_after(self, fitted):
         framework, data = fitted
@@ -360,55 +241,23 @@ class TestAdmission:
             server.shutdown()
             server.server_close()
 
+    def test_slot_is_released_before_the_response_is_written(
+        self, async_stack, monkeypatch
+    ):
+        # A client holding its response must see itself out of flight;
+        # releasing after the write raced every client that read
+        # ``in_flight`` right after its response.
+        server, framework, data, port = async_stack
+        in_flight_at_write = []
+        original = AsyncEncodingServer._respond_raw
 
-class TestShutdown:
-    def test_shutdown_drains_in_flight(self, fitted):
-        framework, data = fitted
-        import time
+        async def recording(self, writer, status, body, **kwargs):
+            in_flight_at_write.append(self.gateway.admission.as_dict()["in_flight"])
+            await original(self, writer, status, body, **kwargs)
 
-        service = make_service(framework)
-        original_compute = service._compute
-
-        def slow_compute(runtime, matrix):
-            time.sleep(0.15)
-            return original_compute(runtime, matrix)
-
-        service._compute = slow_compute
-        server = build_async_server(service, port=0)
-        server.start()
-        port = server.server_port
-        results: list = [None] * 3
-
-        def client(index: int) -> None:
-            try:
-                results[index] = exchange(
-                    port, "POST", "/encode",
-                    {"model": "ir", "data": data[:3].tolist()},
-                )[0]
-            except Exception as exc:  # noqa: BLE001 - asserted below
-                results[index] = exc
-
-        threads = [
-            threading.Thread(target=client, args=(i,)) for i in range(3)
-        ]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 10
-        while server.gateway.admission.as_dict()["n_admitted"] < 3:
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        server.shutdown()
-        for thread in threads:
-            thread.join(timeout=30)
-        server.server_close()
-        assert results == [200, 200, 200]
-        assert server.gateway.admission.as_dict()["in_flight"] == 0
-
-    def test_shutdown_is_idempotent(self, fitted):
-        framework, _ = fitted
-        server = build_async_server(make_service(framework), port=0)
-        server.start()
-        server.shutdown()
-        server.shutdown()
-        server.server_close()
-        server.server_close()
+        monkeypatch.setattr(AsyncEncodingServer, "_respond_raw", recording)
+        status, _, _, _ = exchange(
+            port, "POST", "/encode", {"model": "ir", "data": data[:2].tolist()}
+        )
+        assert status == 200
+        assert in_flight_at_write == [0]

@@ -27,7 +27,7 @@ from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.exceptions import DeadlineExceededError
 from repro.serving import BatchFuser, EncodingService
-from repro.serving.http import build_server
+from repro.serving.async_http import build_async_server
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +103,8 @@ class TestUnfusedHTTPPath:
         service = EncodingService()
         service.register("ir", framework)
         fuser = BatchFuser(service, use_cache=True)
-        server = build_server(service, fuser=fuser, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = build_async_server(service, fuser=fuser, port=0)
+        server.start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             # ``use_cache: false`` mismatches the fuser's config, so the
@@ -145,21 +144,19 @@ class TestUnfusedHTTPPath:
             assert error.headers["Retry-After"] is not None
             body = json.load(error)
             assert "deadline budget" in body["error"]
-            assert server.admission.as_dict()["n_deadline_shed"] == 1
+            assert server.gateway.admission.as_dict()["n_deadline_shed"] == 1
         finally:
             release.set()
             server.shutdown()
             server.server_close()
-            thread.join(timeout=5)
 
     def test_unfused_request_without_deadline_still_succeeds(self, fitted):
         framework, data = fitted
         service = EncodingService()
         service.register("ir", framework)
         fuser = BatchFuser(service, use_cache=True)
-        server = build_server(service, fuser=fuser, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = build_async_server(service, fuser=fuser, port=0)
+        server.start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             payload = {
@@ -181,4 +178,3 @@ class TestUnfusedHTTPPath:
         finally:
             server.shutdown()
             server.server_close()
-            thread.join(timeout=5)

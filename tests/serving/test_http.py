@@ -1,4 +1,5 @@
-"""Tests for the JSON/HTTP serving front end (``repro.serving.http``)."""
+"""Tests for the JSON/HTTP serving front end (``AsyncEncodingServer`` over
+``repro.serving.http.ServingGateway``)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.serving import BatchFuser, EncodingService
-from repro.serving.http import build_server
+from repro.serving.async_http import build_async_server
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +42,12 @@ def server_stack(fitted):
     service = EncodingService()
     service.register("ir", framework)
     fuser = BatchFuser(service, max_batch_rows=64, max_wait_ms=5)
-    server = build_server(service, fuser=fuser, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = build_async_server(service, fuser=fuser, port=0)
+    server.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
     yield service, framework, data, base
     server.shutdown()
     server.server_close()
-    thread.join(timeout=5)
 
 
 def get_json(url: str) -> dict:
@@ -219,9 +218,8 @@ class TestWithoutFusion:
         framework, data = fitted
         service = EncodingService()
         service.register("ir", framework)
-        server = build_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = build_async_server(service, port=0)
+        server.start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             payload = post_json(
@@ -233,7 +231,6 @@ class TestWithoutFusion:
         finally:
             server.shutdown()
             server.server_close()
-            thread.join(timeout=5)
 
 
 class TestRequestHardening:
@@ -304,8 +301,8 @@ class TestRequestHardening:
             connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
             connection.endheaders()
             response = connection.getresponse()
-            # drain_body() cannot consume a body past the cap; the route
-            # error wins and the connection is severed instead of read dry.
+            # A body past the cap cannot be consumed; the route error wins
+            # and the connection is severed instead of read dry.
             assert response.status == 404
         finally:
             connection.close()

@@ -19,7 +19,7 @@ from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.exceptions import ServingError
 from repro.serving import EncodingService
-from repro.serving.http import build_server
+from repro.serving.async_http import build_async_server
 
 FIELDS = {"estimator", "fast_path", "n_features", "n_hidden", "dtype"}
 
@@ -57,9 +57,9 @@ class TestDescribeModels:
         framework, _ = fitted
         service = EncodingService()
         service.register("ir", framework)
-        server = build_server(service, port=0)
+        server = build_async_server(service, port=0)
         try:
-            assert server.describe_models() == service.describe_models()
+            assert server.gateway.describe_models() == service.describe_models()
         finally:
             server.server_close()
 

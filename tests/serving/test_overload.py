@@ -2,13 +2,13 @@
 deadline budgets and shared-secret auth.
 
 The admission gate is driven deterministically by claiming slots through
-``try_admit`` directly — no racing threads needed to observe a full server.
+``server.gateway.try_admit`` directly — no racing threads needed to observe
+a full server.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -21,7 +21,8 @@ from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.exceptions import ValidationError
 from repro.serving import BatchFuser, EncodingService
-from repro.serving.http import DeadlineExceededError, build_server
+from repro.serving.async_http import build_async_server
+from repro.serving.http import DeadlineExceededError
 from repro.serving.stats import AdmissionStats
 from repro.serving.wire import SECRET_HEADER
 
@@ -47,10 +48,9 @@ def fitted():
 
 
 def serve(service, **kwargs):
-    server = build_server(service, port=0, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread, f"http://127.0.0.1:{server.server_address[1]}"
+    server = build_async_server(service, port=0, **kwargs)
+    server.start()
+    return server, f"http://127.0.0.1:{server.server_address[1]}"
 
 
 @pytest.fixture()
@@ -59,13 +59,12 @@ def gated_stack(fitted):
     service = EncodingService()
     service.register("ir", framework)
     fuser = BatchFuser(service, max_batch_rows=64, max_wait_ms=5)
-    server, thread, base = serve(
+    server, base = serve(
         service, fuser=fuser, max_in_flight=2, retry_after=2.5
     )
     yield server, framework, data, base
     server.shutdown()
     server.server_close()
-    thread.join(timeout=5)
 
 
 def post(base, payload, headers=None):
@@ -90,27 +89,28 @@ class TestAdmissionGate:
     def test_full_server_sheds_with_retry_after(self, gated_stack):
         server, _, data, base = gated_stack
         payload = {"model": "ir", "data": data[:3].tolist()}
-        assert server.try_admit() and server.try_admit()  # occupy both slots
+        gateway = server.gateway
+        assert gateway.try_admit() and gateway.try_admit()  # occupy both slots
         try:
             code, headers, body = post_error(base, payload)
             assert code == 503
             assert headers["Retry-After"] == "3"  # ceil(2.5)
             assert "capacity" in body["error"]
         finally:
-            server.release_request()
-            server.release_request()
+            gateway.release_request()
+            gateway.release_request()
         # With the slots free again the same request succeeds.
         assert post(base, payload)["model"] == "ir"
 
     def test_stats_expose_the_admission_counters(self, gated_stack):
         server, _, data, base = gated_stack
-        server.try_admit()
-        server.try_admit()
+        server.gateway.try_admit()
+        server.gateway.try_admit()
         try:
             post_error(base, {"model": "ir", "data": data[:3].tolist()})
         finally:
-            server.release_request()
-            server.release_request()
+            server.gateway.release_request()
+            server.gateway.release_request()
         post(base, {"model": "ir", "data": data[:3].tolist()})
         with urllib.request.urlopen(base + "/stats", timeout=10) as response:
             stats = json.load(response)
@@ -125,24 +125,23 @@ class TestAdmissionGate:
         framework, data = fitted
         service = EncodingService()
         service.register("ir", framework)
-        server, thread, base = serve(service)
+        server, base = serve(service)
         try:
             for _ in range(4):
                 assert post(base, {"model": "ir", "data": data[:2].tolist()})
-            assert server.admission.as_dict()["n_shed"] == 0
+            assert server.gateway.admission.as_dict()["n_shed"] == 0
         finally:
             server.shutdown()
             server.server_close()
-            thread.join(timeout=5)
 
     def test_invalid_max_in_flight_rejected(self, fitted):
         framework, _ = fitted
         service = EncodingService()
         service.register("ir", framework)
         with pytest.raises(ValidationError):
-            build_server(service, port=0, max_in_flight=0)
+            build_async_server(service, port=0, max_in_flight=0)
         with pytest.raises(ValidationError, match="retry_after"):
-            build_server(service, port=0, retry_after=0.0)
+            build_async_server(service, port=0, retry_after=0.0)
 
 
 class TestDeadlineBudget:
@@ -157,8 +156,8 @@ class TestDeadlineBudget:
         assert code == 503
         assert "Retry-After" in headers
         assert "deadline" in body["error"]
-        assert server.admission.as_dict()["n_deadline_shed"] >= 1
-        assert server.admission.as_dict()["in_flight"] == 0
+        assert server.gateway.admission.as_dict()["n_deadline_shed"] >= 1
+        assert server.gateway.admission.as_dict()["in_flight"] == 0
 
     def test_generous_budget_computes_normally(self, gated_stack):
         _, framework, data, base = gated_stack
@@ -183,19 +182,19 @@ class TestDeadlineBudget:
     def test_remaining_budget_shrinks_with_elapsed_time(self, gated_stack):
         server, _, _, _ = gated_stack
         arrival = time.monotonic() - 0.05  # the request is 50ms old
-        remaining = server._remaining_budget_ms(
+        remaining = server.gateway._remaining_budget_ms(
             {"deadline_ms": 100.0}, arrival
         )
         assert 20.0 < remaining < 60.0
 
     def test_spent_budget_raises_and_counts(self, gated_stack):
         server, _, _, _ = gated_stack
-        before = server.admission.as_dict()["n_deadline_shed"]
+        before = server.gateway.admission.as_dict()["n_deadline_shed"]
         with pytest.raises(DeadlineExceededError, match="budget"):
-            server._remaining_budget_ms(
+            server.gateway._remaining_budget_ms(
                 {"deadline_ms": 10.0}, time.monotonic() - 1.0
             )
-        assert server.admission.as_dict()["n_deadline_shed"] == before + 1
+        assert server.gateway.admission.as_dict()["n_deadline_shed"] == before + 1
 
 
 class TestAdmissionStatsUnit:
@@ -219,11 +218,10 @@ class TestServingAuth:
         framework, data = fitted
         service = EncodingService()
         service.register("ir", framework)
-        server, thread, base = serve(service, secret=SECRET)
+        server, base = serve(service, secret=SECRET)
         yield data, base
         server.shutdown()
         server.server_close()
-        thread.join(timeout=5)
 
     def test_healthz_stays_open(self, secured):
         _, base = secured

@@ -8,6 +8,7 @@ runs last and is marked ``slow``.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -19,7 +20,8 @@ from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.exceptions import ServingError, ValidationError
 from repro.persistence.artifacts import save_framework
 from repro.serving import EncodingService
-from repro.serving.shard import HashRing, ShardPool
+from repro.serving.shard import HashRing, ShardPool, ShardWorkerProcess
+from repro.serving.wire import request_json
 
 MODELS = ["alpha", "beta", "gamma", "delta"]
 
@@ -79,6 +81,53 @@ def artifact(tmp_path_factory):
         framework, tmp_path_factory.mktemp("shard") / "artifact"
     )
     return str(bundle), framework, data
+
+
+class TestWorkerShutdown:
+    def test_sigterm_drains_the_in_flight_request(self, artifact, tmp_path):
+        """A worker told to stop finishes what it admitted, then exits 0."""
+        bundle, framework, data = artifact
+        # One request alone waits the whole coalescing window, so it is
+        # reliably in flight when the signal lands.
+        worker = ShardWorkerProcess(
+            0, {"m": bundle}, port_dir=tmp_path,
+            extra_args=["--max-wait-ms", "800"],
+        )
+        worker.spawn()
+        result: list = []
+
+        def client() -> None:
+            try:
+                result.append(request_json(
+                    worker.host, worker.port, "POST", "/encode",
+                    {"model": "m", "data": data[:3].tolist()}, timeout=30,
+                ))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                result.append(exc)
+
+        thread = threading.Thread(target=client)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 10
+            while True:
+                _, stats = request_json(worker.host, worker.port, "GET", "/stats")
+                if stats["admission"]["in_flight"] == 1:
+                    break
+                assert time.monotonic() < deadline, "request never admitted"
+                time.sleep(0.01)
+            worker.terminate()
+            worker.join(timeout=30)
+            thread.join(timeout=30)
+        finally:
+            if worker.alive:
+                worker.process.kill()
+        assert worker.process.returncode == 0
+        assert not isinstance(result[0], Exception), result[0]
+        status, body = result[0]
+        assert status == 200
+        assert np.array_equal(
+            np.asarray(body["features"]), framework.transform(data[:3])
+        )
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 """Regression tests for graceful shutdown ordering.
 
-``EncodingHTTPServer.shutdown()`` once closed the fuser *before* stopping
-the accept loop, so requests in flight during shutdown were answered with
-spurious errors from a dead fusion queue.  The contract under test: stop
+The threaded server's ``shutdown()`` once closed the fuser *before*
+stopping the accept loop, so requests in flight during shutdown were
+answered with spurious errors from a dead fusion queue.  The contract under
+test, on :class:`~repro.serving.async_http.AsyncEncodingServer`: stop
 accepting first, drain the admitted requests (they finish with real
 responses), and only then close the fuser.
 """
@@ -22,7 +23,7 @@ from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.serving import BatchFuser, EncodingService
 from repro.serving.fusion import FuserClosedError
-from repro.serving.http import build_server
+from repro.serving.async_http import build_async_server
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +71,8 @@ class TestShutdownUnderLoad:
         service._compute = slow_compute
 
         fuser = BatchFuser(service, max_batch_rows=4096, max_wait_ms=20)
-        server = build_server(service, fuser=fuser, port=0)
-        serve_thread = threading.Thread(target=server.serve_forever, daemon=True)
-        serve_thread.start()
+        server = build_async_server(service, fuser=fuser, port=0)
+        server.start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
 
         n_clients = 4
@@ -93,7 +93,7 @@ class TestShutdownUnderLoad:
 
         # Wait until every client's request is admitted (inside the server).
         deadline = time.monotonic() + 10
-        while server.admission.as_dict()["n_admitted"] < n_clients:
+        while server.gateway.admission.as_dict()["n_admitted"] < n_clients:
             assert time.monotonic() < deadline, "clients were never admitted"
             time.sleep(0.005)
 
@@ -104,7 +104,6 @@ class TestShutdownUnderLoad:
         for thread in clients:
             thread.join(timeout=30)
         server.server_close()
-        serve_thread.join(timeout=5)
 
         for result in results:
             assert not isinstance(result, Exception), f"client failed: {result}"
@@ -115,20 +114,19 @@ class TestShutdownUnderLoad:
 
         # Only after the drain is the fuser closed.
         assert fuser.closed
-        assert server.admission.as_dict()["in_flight"] == 0
+        assert server.gateway.admission.as_dict()["in_flight"] == 0
 
     def test_shutdown_is_idempotent(self, fitted):
         framework, _ = fitted
         service = EncodingService()
         service.register("ir", framework)
         fuser = BatchFuser(service)
-        server = build_server(service, fuser=fuser, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = build_async_server(service, fuser=fuser, port=0)
+        server.start()
         server.shutdown()
         server.shutdown()  # second call returns immediately
         server.server_close()
-        thread.join(timeout=5)
+        server.server_close()
         assert fuser.closed
 
 

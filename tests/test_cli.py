@@ -204,91 +204,41 @@ class TestBench:
 
 
 class TestServe:
-    def test_serve_announces_and_runs(self, artifact, capsys, monkeypatch):
+    @pytest.mark.parametrize("extra", [[], ["--async"]], ids=["plain", "async"])
+    def test_serve_announces_and_runs(self, artifact, capsys, monkeypatch, extra):
         # serve_forever is stubbed out so the command builds the full stack,
         # prints the banner and exits without blocking the test run.
-        from repro.serving.http import EncodingHTTPServer
-
-        monkeypatch.setattr(EncodingHTTPServer, "serve_forever", lambda self: None)
-        code = main([
-            "serve", "--artifact", f"ir={artifact}", "--port", "0",
-            "--max-batch-rows", "128", "--max-wait-ms", "3",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serving 1 model(s) ['ir']" in out
-        assert "max_batch_rows=128" in out
-        assert "POST /encode" in out
-
-    def test_serve_without_fusion(self, artifact, capsys, monkeypatch):
-        from repro.serving.http import EncodingHTTPServer
-
-        monkeypatch.setattr(EncodingHTTPServer, "serve_forever", lambda self: None)
-        code = main([
-            "serve", "--artifact", f"ir={artifact}", "--port", "0", "--no-fusion",
-        ])
-        assert code == 0
-        assert "fusion: disabled" in capsys.readouterr().out
-
-    def test_serve_end_to_end_over_http(self, artifact):
-        import json as json_module
-        import threading
-        import urllib.request
-
-        from repro.cli import _build_serving_stack, build_parser
-
-        args = build_parser().parse_args(
-            ["serve", "--artifact", f"ir={artifact}", "--port", "0"]
-        )
-        service, fuser, server = _build_serving_stack(args)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            health = json_module.load(
-                urllib.request.urlopen(base + "/healthz", timeout=10)
-            )
-            assert health == {"status": "ok", "models": ["ir"]}
-            dataset = load_uci_dataset("IR", scale=0.5, random_state=0)
-            body = json_module.dumps(
-                {"model": "ir", "data": dataset.data[:4].tolist()}
-            ).encode()
-            response = json_module.load(
-                urllib.request.urlopen(
-                    urllib.request.Request(base + "/encode", data=body), timeout=10
-                )
-            )
-            expected = service.encode("ir", dataset.data[:4], use_cache=False)
-            np.testing.assert_array_equal(
-                np.asarray(response["features"]), expected
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
-    def test_malformed_artifact_mapping_fails_cleanly(self, capsys):
-        assert main(["serve", "--artifact", "no-equals-sign"]) == 1
-        assert "NAME=PATH" in capsys.readouterr().err
-
-
-class TestServeScaleOut:
-    def test_serve_async_announces_and_runs(self, artifact, capsys, monkeypatch):
+        # ``--async`` is a no-op kept so old command lines still parse.
         from repro.serving.async_http import AsyncEncodingServer
 
         monkeypatch.setattr(
             AsyncEncodingServer, "serve_forever", lambda self: None
         )
         code = main([
-            "serve", "--artifact", f"ir={artifact}", "--port", "0", "--async",
+            "serve", "--artifact", f"ir={artifact}", "--port", "0",
+            "--max-batch-rows", "128", "--max-wait-ms", "3", *extra,
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "serving 1 model(s) ['ir']" in out
+        assert "max_batch_rows=128" in out
         assert "front end: async selector loop" in out
         assert "POST /encode" in out
 
-    def test_build_serving_stack_async_end_to_end(self, artifact):
+    def test_serve_without_fusion(self, artifact, capsys, monkeypatch):
+        from repro.serving.async_http import AsyncEncodingServer
+
+        monkeypatch.setattr(
+            AsyncEncodingServer, "serve_forever", lambda self: None
+        )
+        code = main([
+            "serve", "--artifact", f"ir={artifact}", "--port", "0", "--no-fusion",
+        ])
+        assert code == 0
+        assert "fusion: disabled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [[], ["--async"]], ids=["plain", "async"])
+    def test_serve_end_to_end_over_http(self, artifact, extra):
         import json as json_module
         import urllib.request
 
@@ -296,7 +246,7 @@ class TestServeScaleOut:
         from repro.serving.async_http import AsyncEncodingServer
 
         args = build_parser().parse_args(
-            ["serve", "--artifact", f"ir={artifact}", "--port", "0", "--async"]
+            ["serve", "--artifact", f"ir={artifact}", "--port", "0", *extra]
         )
         service, fuser, server = _build_serving_stack(args)
         assert isinstance(server, AsyncEncodingServer)
@@ -327,7 +277,6 @@ class TestServeScaleOut:
 
     def test_build_serving_stack_sharded(self, artifact):
         import json as json_module
-        import threading
         import urllib.request
 
         from repro.cli import _build_serving_stack, build_parser
@@ -340,8 +289,7 @@ class TestServeScaleOut:
         service, fuser, server = _build_serving_stack(args)
         assert service is None and fuser is None
         assert isinstance(server.gateway.backend, ShardPool)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server.start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             health = json_module.load(
@@ -363,7 +311,10 @@ class TestServeScaleOut:
         finally:
             server.shutdown()
             server.server_close()
-            thread.join(timeout=5)
+
+    def test_malformed_artifact_mapping_fails_cleanly(self, capsys):
+        assert main(["serve", "--artifact", "no-equals-sign"]) == 1
+        assert "NAME=PATH" in capsys.readouterr().err
 
     def test_duplicate_model_name_fails_cleanly(self, artifact, capsys):
         code = main([
@@ -371,6 +322,65 @@ class TestServeScaleOut:
         ])
         assert code == 1
         assert "twice" in capsys.readouterr().err
+
+
+class TestServeKeepAliveLatency:
+    """A keep-alive ``POST /encode`` must not stall on Nagle's algorithm.
+
+    A response written as two small sends (head, then body) on a socket
+    without ``TCP_NODELAY`` waits for the client's delayed ACK: ~40 ms per
+    exchange on Linux loopback, against ~1 ms for the work itself.  Each
+    serve mode is built exactly as ``repro serve`` builds it.
+    """
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--no-fusion"],
+            pytest.param(["--shard-workers", "2"], marks=pytest.mark.slow),
+        ],
+        ids=["default", "no-fusion", "shard-workers"],
+    )
+    def test_median_keep_alive_round_trip_is_fast(self, artifact, extra):
+        import http.client
+        import json as json_module
+        import statistics
+        import time
+
+        from repro.cli import _build_serving_stack, build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--artifact", f"ir={artifact}", "--port", "0", *extra]
+        )
+        _, _, server = _build_serving_stack(args)
+        server.start()
+        rows = load_uci_dataset("IR", scale=0.5, random_state=0).data
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_port, timeout=30
+        )
+        latencies = []
+        try:
+            for index in range(24):
+                body = json_module.dumps(
+                    {"model": "ir", "data": rows[index : index + 4].tolist()}
+                )
+                start = time.perf_counter()
+                connection.request(
+                    "POST", "/encode", body=body.encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                payload = response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200, payload
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+        # The first requests warm caches and connections; time the rest.
+        median_ms = 1000.0 * statistics.median(latencies[4:])
+        assert median_ms < 20.0, f"median keep-alive round trip {median_ms:.1f} ms"
 
 
 class TestInfo:
