@@ -1,9 +1,7 @@
-"""Tests for the asyncio front end's HTTP handling
-(``repro.serving.async_http``): framing, unsupported methods, keep-alive,
-raw-socket edge cases and shed accounting.
-
-Routes, deadlines, auth and shutdown are covered against the same server
-in ``test_http.py``, ``test_overload.py`` and ``test_shutdown.py``.
+"""Tests for the asyncio serving front end (``repro.serving.async_http``):
+routes, ``/encode`` bodies, framing, keep-alive, auth, admission and
+shutdown, all driven over real sockets against
+:class:`~repro.serving.async_http.AsyncEncodingServer`.
 """
 
 from __future__ import annotations
@@ -21,6 +19,9 @@ from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.serving import BatchFuser, EncodingService
 from repro.serving.async_http import AsyncEncodingServer, build_async_server
+from repro.serving.wire import SECRET_HEADER
+
+SECRET = "async-secret"
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,32 @@ def exchange(
 
 
 class TestRoutes:
+    def test_healthz(self, async_stack):
+        server, framework, data, port = async_stack
+        status, body, _, _ = exchange(port, "GET", "/healthz")
+        assert status == 200
+        assert body == {"status": "ok", "models": ["ir"]}
+
+    def test_models(self, async_stack):
+        server, framework, data, port = async_stack
+        status, body, _, _ = exchange(port, "GET", "/models")
+        assert status == 200
+        assert "ir" in body["models"]
+        assert body["models"]["ir"]["fast_path"] in (True, False)
+
+    def test_stats(self, async_stack):
+        server, framework, data, port = async_stack
+        status, body, _, _ = exchange(port, "GET", "/stats")
+        assert status == 200
+        assert set(body) >= {"models", "cache", "fusion", "admission"}
+
+    def test_unknown_route_404(self, async_stack):
+        server, framework, data, port = async_stack
+        status, body, _, _ = exchange(port, "GET", "/nope")
+        assert status == 404
+        status, body, _, _ = exchange(port, "POST", "/nope", {"x": 1})
+        assert status == 404
+
     def test_unsupported_method_501(self, async_stack):
         server, framework, data, port = async_stack
         connection = http.client.HTTPConnection(
@@ -105,6 +132,14 @@ class TestEncode:
         assert np.array_equal(
             np.asarray(body["features"]), framework.transform(data[:5])
         )
+
+    def test_unknown_model_404(self, async_stack):
+        server, framework, data, port = async_stack
+        status, body, _, _ = exchange(
+            port, "POST", "/encode", {"model": "zz", "data": data[:2].tolist()}
+        )
+        assert status == 404
+        assert "zz" in body["error"]
 
     def test_invalid_json_400(self, async_stack):
         server, framework, data, port = async_stack
@@ -143,6 +178,17 @@ class TestEncode:
         assert response.status == 413
         assert response.headers.get("Connection") == "close"
         connection.close()
+
+    def test_non_positive_deadline_is_a_validation_error(self, async_stack):
+        server, framework, data, port = async_stack
+        status, body, _, _ = exchange(
+            port,
+            "POST",
+            "/encode",
+            {"model": "ir", "data": data[:2].tolist(), "deadline_ms": -1},
+        )
+        assert status == 400
+        assert "deadline_ms" in body["error"]
 
     def test_concurrent_clients_all_correct(self, async_stack):
         server, framework, data, port = async_stack
@@ -211,6 +257,42 @@ class TestKeepAlive:
         assert b"Connection: close" in response
 
 
+class TestAuth:
+    @pytest.fixture()
+    def secured(self, fitted):
+        framework, data = fitted
+        server = build_async_server(
+            make_service(framework), port=0, secret=SECRET
+        )
+        server.start()
+        yield server, data, server.server_port
+        server.shutdown()
+        server.server_close()
+
+    def test_healthz_stays_open(self, secured):
+        server, data, port = secured
+        status, _, _, _ = exchange(port, "GET", "/healthz")
+        assert status == 200
+
+    def test_missing_secret_401(self, secured):
+        server, data, port = secured
+        status, body, _, _ = exchange(
+            port, "POST", "/encode", {"model": "ir", "data": data[:2].tolist()}
+        )
+        assert status == 401
+        status, _, _, _ = exchange(port, "GET", "/stats")
+        assert status == 401
+
+    def test_valid_secret_accepted(self, secured):
+        server, data, port = secured
+        status, body, _, _ = exchange(
+            port, "POST", "/encode",
+            {"model": "ir", "data": data[:2].tolist()},
+            headers={SECRET_HEADER: SECRET},
+        )
+        assert status == 200
+
+
 class TestAdmission:
     def test_full_server_sheds_503_with_retry_after(self, fitted):
         framework, data = fitted
@@ -261,3 +343,56 @@ class TestAdmission:
         )
         assert status == 200
         assert in_flight_at_write == [0]
+
+
+class TestShutdown:
+    def test_shutdown_drains_in_flight(self, fitted):
+        framework, data = fitted
+        import time
+
+        service = make_service(framework)
+        original_compute = service._compute
+
+        def slow_compute(runtime, matrix):
+            time.sleep(0.15)
+            return original_compute(runtime, matrix)
+
+        service._compute = slow_compute
+        server = build_async_server(service, port=0)
+        server.start()
+        port = server.server_port
+        results: list = [None] * 3
+
+        def client(index: int) -> None:
+            try:
+                results[index] = exchange(
+                    port, "POST", "/encode",
+                    {"model": "ir", "data": data[:3].tolist()},
+                )[0]
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                results[index] = exc
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while server.gateway.admission.as_dict()["n_admitted"] < 3:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        server.shutdown()
+        for thread in threads:
+            thread.join(timeout=30)
+        server.server_close()
+        assert results == [200, 200, 200]
+        assert server.gateway.admission.as_dict()["in_flight"] == 0
+
+    def test_shutdown_is_idempotent(self, fitted):
+        framework, _ = fitted
+        server = build_async_server(make_service(framework), port=0)
+        server.start()
+        server.shutdown()
+        server.shutdown()
+        server.server_close()
+        server.server_close()

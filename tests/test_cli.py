@@ -203,27 +203,67 @@ class TestBench:
         assert "benchmark report written" in capsys.readouterr().out
 
 
-class TestServe:
-    @pytest.mark.parametrize("extra", [[], ["--async"]], ids=["plain", "async"])
-    def test_serve_announces_and_runs(self, artifact, capsys, monkeypatch, extra):
-        # serve_forever is stubbed out so the command builds the full stack,
-        # prints the banner and exits without blocking the test run.
-        # ``--async`` is a no-op kept so old command lines still parse.
-        from repro.serving.async_http import AsyncEncodingServer
+def check_serve_announces_and_runs(artifact, capsys, monkeypatch, extra):
+    # serve_forever is stubbed out so the command builds the full stack,
+    # prints the banner and exits without blocking the test run.
+    from repro.serving.async_http import AsyncEncodingServer
 
-        monkeypatch.setattr(
-            AsyncEncodingServer, "serve_forever", lambda self: None
+    monkeypatch.setattr(
+        AsyncEncodingServer, "serve_forever", lambda self: None
+    )
+    code = main([
+        "serve", "--artifact", f"ir={artifact}", "--port", "0",
+        "--max-batch-rows", "128", "--max-wait-ms", "3", *extra,
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "serving 1 model(s) ['ir']" in out
+    assert "max_batch_rows=128" in out
+    assert "front end: async selector loop" in out
+    assert "POST /encode" in out
+
+
+def check_serve_end_to_end_over_http(artifact, extra):
+    import json as json_module
+    import urllib.request
+
+    from repro.cli import _build_serving_stack, build_parser
+    from repro.serving.async_http import AsyncEncodingServer
+
+    args = build_parser().parse_args(
+        ["serve", "--artifact", f"ir={artifact}", "--port", "0", *extra]
+    )
+    service, fuser, server = _build_serving_stack(args)
+    assert isinstance(server, AsyncEncodingServer)
+    server.start()
+    base = f"http://127.0.0.1:{server.server_port}"
+    try:
+        health = json_module.load(
+            urllib.request.urlopen(base + "/healthz", timeout=10)
         )
-        code = main([
-            "serve", "--artifact", f"ir={artifact}", "--port", "0",
-            "--max-batch-rows", "128", "--max-wait-ms", "3", *extra,
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serving 1 model(s) ['ir']" in out
-        assert "max_batch_rows=128" in out
-        assert "front end: async selector loop" in out
-        assert "POST /encode" in out
+        assert health == {"status": "ok", "models": ["ir"]}
+        dataset = load_uci_dataset("IR", scale=0.5, random_state=0)
+        body = json_module.dumps(
+            {"model": "ir", "data": dataset.data[:4].tolist()}
+        ).encode()
+        response = json_module.load(
+            urllib.request.urlopen(
+                urllib.request.Request(base + "/encode", data=body),
+                timeout=10,
+            )
+        )
+        expected = service.encode("ir", dataset.data[:4], use_cache=False)
+        np.testing.assert_array_equal(
+            np.asarray(response["features"]), expected
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestServe:
+    def test_serve_announces_and_runs(self, artifact, capsys, monkeypatch):
+        check_serve_announces_and_runs(artifact, capsys, monkeypatch, [])
 
     def test_serve_without_fusion(self, artifact, capsys, monkeypatch):
         from repro.serving.async_http import AsyncEncodingServer
@@ -237,43 +277,22 @@ class TestServe:
         assert code == 0
         assert "fusion: disabled" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("extra", [[], ["--async"]], ids=["plain", "async"])
-    def test_serve_end_to_end_over_http(self, artifact, extra):
-        import json as json_module
-        import urllib.request
+    def test_serve_end_to_end_over_http(self, artifact):
+        check_serve_end_to_end_over_http(artifact, [])
 
-        from repro.cli import _build_serving_stack, build_parser
-        from repro.serving.async_http import AsyncEncodingServer
+    def test_malformed_artifact_mapping_fails_cleanly(self, capsys):
+        assert main(["serve", "--artifact", "no-equals-sign"]) == 1
+        assert "NAME=PATH" in capsys.readouterr().err
 
-        args = build_parser().parse_args(
-            ["serve", "--artifact", f"ir={artifact}", "--port", "0", *extra]
-        )
-        service, fuser, server = _build_serving_stack(args)
-        assert isinstance(server, AsyncEncodingServer)
-        server.start()
-        base = f"http://127.0.0.1:{server.server_port}"
-        try:
-            health = json_module.load(
-                urllib.request.urlopen(base + "/healthz", timeout=10)
-            )
-            assert health == {"status": "ok", "models": ["ir"]}
-            dataset = load_uci_dataset("IR", scale=0.5, random_state=0)
-            body = json_module.dumps(
-                {"model": "ir", "data": dataset.data[:4].tolist()}
-            ).encode()
-            response = json_module.load(
-                urllib.request.urlopen(
-                    urllib.request.Request(base + "/encode", data=body),
-                    timeout=10,
-                )
-            )
-            expected = service.encode("ir", dataset.data[:4], use_cache=False)
-            np.testing.assert_array_equal(
-                np.asarray(response["features"]), expected
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
+
+class TestServeScaleOut:
+    # ``--async`` is a no-op kept so old command lines still parse; it
+    # must build and serve exactly what the plain command does.
+    def test_serve_async_announces_and_runs(self, artifact, capsys, monkeypatch):
+        check_serve_announces_and_runs(artifact, capsys, monkeypatch, ["--async"])
+
+    def test_build_serving_stack_async_end_to_end(self, artifact):
+        check_serve_end_to_end_over_http(artifact, ["--async"])
 
     def test_build_serving_stack_sharded(self, artifact):
         import json as json_module
@@ -311,10 +330,6 @@ class TestServe:
         finally:
             server.shutdown()
             server.server_close()
-
-    def test_malformed_artifact_mapping_fails_cleanly(self, capsys):
-        assert main(["serve", "--artifact", "no-equals-sign"]) == 1
-        assert "NAME=PATH" in capsys.readouterr().err
 
     def test_duplicate_model_name_fails_cleanly(self, artifact, capsys):
         code = main([
